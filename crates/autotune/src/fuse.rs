@@ -32,6 +32,7 @@
 //! trivially.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use oa_blas3::routines::source;
 use oa_blas3::schemes::oa_scheme;
@@ -39,7 +40,7 @@ use oa_blas3::types::{RoutineId, Side, Trans};
 use oa_epod::translator::apply_lenient;
 use oa_epod::Script;
 use oa_gpusim::perf::{evaluate, PerfReport};
-use oa_gpusim::{exec_program_on, DeviceSpec, ExecEngine};
+use oa_gpusim::{CompiledProgram, DeviceSpec, ExecEngine};
 use oa_loopir::expr::AffineExpr;
 use oa_loopir::interp::{alloc_buffers, Bindings, Matrix};
 use oa_loopir::stmt::Stmt;
@@ -636,16 +637,26 @@ pub enum ResolveMode {
     Tuned,
 }
 
-/// One executable unit: a program plus operand routing.
-#[derive(Clone, Debug)]
+/// A resolved unit program and its modeled report (`Tuned` mode only),
+/// shared by every plan that uses it.
+#[derive(Debug)]
+struct Resolved {
+    program: Program,
+    report: Option<PerfReport>,
+}
+
+/// One executable unit of a [`CompiledDag`]: the resolved program (its
+/// array declarations shape the run's buffers), its compiled form, and
+/// the operand routing.
+#[derive(Debug)]
 struct ExecUnit {
     label: String,
-    program: Program,
+    resolved: Arc<Resolved>,
+    compiled: Arc<CompiledProgram>,
     /// `(program array, operand supplying its initial contents)`.
     inputs: Vec<(&'static str, Operand)>,
     /// `(program array, node whose output it holds afterwards)`.
     outputs: Vec<(&'static str, usize)>,
-    report: Option<PerfReport>,
 }
 
 /// The result of one DAG execution.
@@ -667,238 +678,43 @@ pub struct DagRun {
     pub gflops: Option<f64>,
 }
 
-/// Memoized fused-pair resolutions, keyed by `(pair label, n)`.
-type FusedCache = HashMap<(String, i64), Result<(Program, Option<PerfReport>), FuseReject>>;
-
-/// The DAG runner: resolves per-unit programs (memoized), executes the
-/// plan in order against deterministic name-seeded external buffers, and
-/// digests the sink outputs.
-///
-/// One environment caches per-routine programs and per-pair fused plans,
-/// so repeated DAGs (a fuzz campaign, a serve session) pay resolution
-/// once per shape.
-pub struct FuseEnv {
-    /// Engine behind the composer's legality filter *and* the executor.
-    pub engine: ExecEngine,
-    /// Device for performance evaluation (`Tuned` mode).
-    pub device: DeviceSpec,
-    /// Resolution mode.
-    pub mode: ResolveMode,
-    /// Mutation-testing hazard: break the prologue's k-chain order (see
-    /// [`build_fused_point`]).  Never set outside mutation tests.
-    pub hazard_reverse_k: bool,
-    singles: HashMap<(String, i64), (Program, Option<PerfReport>, f64)>,
-    fused: FusedCache,
+/// A DAG planned, resolved and compiled once for one `(shape, n, fuse)`:
+/// immutable, so any number of threads may [`run`](CompiledDag::run) it
+/// at once against their own buffers.  Edges are kept by node index (the
+/// shape key prints references by index), so every request of the same
+/// shape shares the plan whatever its node ids.
+#[derive(Debug)]
+pub struct CompiledDag {
+    shape: String,
+    n: i64,
+    units: Vec<ExecUnit>,
+    /// Fused edges `(producer, consumer, kind)`.
+    fused: Vec<(usize, usize, FuseKind)>,
+    /// Rejected/demoted edges `(producer, consumer, reason)`.
+    rejects: Vec<(usize, usize, String)>,
+    gmem_bytes: Option<f64>,
+    gflops: Option<f64>,
 }
 
-impl FuseEnv {
-    /// A fresh environment.
-    pub fn new(engine: ExecEngine, device: DeviceSpec, mode: ResolveMode) -> Self {
-        FuseEnv {
-            engine,
-            device,
-            mode,
-            hazard_reverse_k: false,
-            singles: HashMap::new(),
-            fused: HashMap::new(),
-        }
-    }
-
-    /// Resolve one routine's program (memoized per `(routine, n)`).
-    fn resolve_single(
-        &mut self,
-        r: RoutineId,
-        n: i64,
-    ) -> Result<(Program, Option<PerfReport>, f64), String> {
-        let key = (r.name().to_string(), n);
-        if let Some(hit) = self.singles.get(&key) {
-            return Ok(hit.clone());
-        }
-        let entry = match self.mode {
-            ResolveMode::Fast => {
-                let (scripts, _, _) = compose_variants(self.engine, r)
-                    .map_err(|e: TuneError| format!("{}: {e}", r.name()))?;
-                let params = crate::space::default_params(oa_scheme(r).solver);
-                // First *launchable* variant: some routines' leading
-                // variant has no thread mapping (a host-side reference
-                // shape), which every engine rejects at launch.
-                let bindings = Bindings::square(n);
-                let program = scripts
-                    .iter()
-                    .filter_map(|script| {
-                        let outcome = apply_lenient(&source(r), script, params).ok()?;
-                        oa_gpusim::launch::extract_launch(&outcome.program, &bindings).ok()?;
-                        Some(outcome.program)
-                    })
-                    .next()
-                    .ok_or_else(|| format!("{}: no launchable variant", r.name()))?;
-                (program, None, r.flops(n))
-            }
-            ResolveMode::Tuned => {
-                let t = tune_observed(r, &self.device, n, &mut |_| {})
-                    .map_err(|e| format!("{}: {e}", r.name()))?;
-                (t.program, Some(t.report), r.flops(n))
-            }
-        };
-        self.singles.insert(key, entry.clone());
-        Ok(entry)
-    }
-
-    /// Resolve one fused pair (memoized per `(pair label, n)`).
-    fn resolve_fused(
-        &mut self,
+impl CompiledDag {
+    /// Execute the plan for `nodes` (a DAG of the planned shape) against
+    /// deterministic name-seeded external buffers, digest the sink
+    /// outputs, and emit one [`TuneEvent::Fuse`] with the per-edge
+    /// decisions.
+    pub fn run(
+        &self,
         nodes: &[DagNode],
-        producer: usize,
-        consumer: usize,
-        kind: FuseKind,
-        n: i64,
-    ) -> Result<(Program, Option<PerfReport>), FuseReject> {
-        let key = (pair_label(nodes, producer, consumer, kind), n);
-        if let Some(hit) = self.fused.get(&key) {
-            return hit.clone();
-        }
-        let entry = match self.mode {
-            ResolveMode::Fast => first_legal_fused(
-                self.engine,
-                nodes,
-                producer,
-                consumer,
-                kind,
-                n,
-                self.hazard_reverse_k,
-            )
-            .map(|p| (p, None)),
-            ResolveMode::Tuned => tune_fused(
-                self.engine,
-                nodes,
-                producer,
-                consumer,
-                kind,
-                &self.device,
-                n,
-                self.hazard_reverse_k,
-            )
-            .map(|t| (t.program, Some(t.report))),
-        };
-        self.fused.insert(key, entry.clone());
-        entry
-    }
-
-    /// Plan and execute one DAG.  See [`FuseEnv::run_dag_observed`].
-    pub fn run_dag(
-        &mut self,
-        nodes: &[DagNode],
-        n: i64,
         seed: u64,
-        fuse: bool,
-    ) -> Result<DagRun, String> {
-        self.run_dag_observed(nodes, n, seed, fuse, &mut |_| {})
-    }
-
-    /// Plan and execute one DAG, emitting one [`TuneEvent::Fuse`] with the
-    /// per-edge decisions.
-    ///
-    /// Pairs whose sweep finds no legal point are demoted to two sequenced
-    /// singles with the dominant reject reason recorded — the "illegal
-    /// shapes fall back" contract.
-    pub fn run_dag_observed(
-        &mut self,
-        nodes: &[DagNode],
-        n: i64,
-        seed: u64,
-        fuse: bool,
         obs: &mut dyn FnMut(TuneEvent),
     ) -> Result<DagRun, String> {
-        // Legality is size-uniform: a node that cannot launch standalone
-        // (an off-tile solver size, say) fails the whole DAG with the
-        // same error whether or not one of its edges would fuse —
-        // otherwise a fused plan could "run" work the sequenced fallback
-        // must reject, and the two plans would stop being comparable.
-        for nd in nodes {
-            self.resolve_single(nd.routine, n)?;
-        }
-        let plan = plan_dag(nodes, fuse);
-        let mut rejects: Vec<(String, String, String)> = plan
-            .rejects
-            .iter()
-            .map(|r| {
-                (
-                    nodes[r.producer].id.clone(),
-                    nodes[r.consumer].id.clone(),
-                    r.reason.clone(),
-                )
-            })
-            .collect();
-        let mut fused_edges: Vec<(String, String, &'static str)> = Vec::new();
-        let mut units: Vec<ExecUnit> = Vec::new();
-        for unit in &plan.units {
-            match unit {
-                PlanUnit::Single(i) => units.push(self.single_unit(nodes, *i, n)?),
-                PlanUnit::Fused {
-                    producer,
-                    consumer,
-                    kind,
-                } => match self.resolve_fused(nodes, *producer, *consumer, *kind, n) {
-                    Ok((program, report)) => {
-                        // Profitability gate (`Tuned` mode): fusing exists to
-                        // cut global-memory round trips, so a fused winner
-                        // that moves no less modeled traffic than the
-                        // sequenced pair is demoted, not celebrated.  A
-                        // prologue splice recomputes the intermediate tile
-                        // per column block; past a crossover size those
-                        // re-reads swallow the round-trip saving.
-                        let unprofitable = match &report {
-                            Some(rep) => {
-                                let p = self.resolve_single(nodes[*producer].routine, n)?.1;
-                                let c = self.resolve_single(nodes[*consumer].routine, n)?.1;
-                                match (p, c) {
-                                    (Some(p), Some(c)) => {
-                                        rep.counters.gmem_bytes
-                                            >= p.counters.gmem_bytes + c.counters.gmem_bytes
-                                    }
-                                    _ => false,
-                                }
-                            }
-                            None => false,
-                        };
-                        if unprofitable {
-                            rejects.push((
-                                nodes[*producer].id.clone(),
-                                nodes[*consumer].id.clone(),
-                                REASON_UNPROFITABLE.to_string(),
-                            ));
-                            units.push(self.single_unit(nodes, *producer, n)?);
-                            units.push(self.single_unit(nodes, *consumer, n)?);
-                            continue;
-                        }
-                        fused_edges.push((
-                            nodes[*producer].id.clone(),
-                            nodes[*consumer].id.clone(),
-                            kind.name(),
-                        ));
-                        units.push(
-                            self.fused_unit(nodes, *producer, *consumer, *kind, program, report),
-                        );
-                    }
-                    Err(rej) => {
-                        // Demotion: the sequenced fallback, reason recorded.
-                        rejects.push((
-                            nodes[*producer].id.clone(),
-                            nodes[*consumer].id.clone(),
-                            rej.reason.clone(),
-                        ));
-                        units.push(self.single_unit(nodes, *producer, n)?);
-                        units.push(self.single_unit(nodes, *consumer, n)?);
-                    }
-                },
-            }
-        }
-
+        debug_assert_eq!(shape_key(nodes), self.shape, "plan run on another shape");
+        let n = self.n;
         let bindings = Bindings::square(n);
         let mut externals: HashMap<String, Matrix> = HashMap::new();
         let mut outs: HashMap<usize, Matrix> = HashMap::new();
-        for unit in &units {
-            let mut bufs = alloc_buffers(&unit.program, &bindings, seed);
+        for unit in &self.units {
+            let program = &unit.resolved.program;
+            let mut bufs = alloc_buffers(program, &bindings, seed);
             for (arr, op) in &unit.inputs {
                 let mut m = match op {
                     Operand::Buf(name) => external_buffer(&mut externals, name, n, seed).clone(),
@@ -907,14 +723,15 @@ impl FuseEnv {
                         .ok_or_else(|| format!("intermediate @{i} never materialized"))?
                         .clone(),
                 };
-                if let Some(decl) = unit.program.array(arr) {
+                if let Some(decl) = program.array(arr) {
                     if decl.blank_is_zero {
                         m.zero_blank(decl.fill);
                     }
                 }
                 bufs.insert((*arr).to_string(), m);
             }
-            exec_program_on(self.engine, &unit.program, &bindings, &mut bufs)
+            unit.compiled
+                .execute(&mut bufs)
                 .map_err(|e| format!("{}: {} ({e})", unit.label, e.class()))?;
             for (arr, node) in &unit.outputs {
                 let m = bufs
@@ -937,7 +754,269 @@ impl FuseEnv {
             digest = fnv_str(digest, id) ^ d.rotate_left(17);
         }
 
-        let reports: Vec<&PerfReport> = units.iter().filter_map(|u| u.report.as_ref()).collect();
+        let id = |i: usize| nodes[i].id.clone();
+        let fused: Vec<(String, String, &'static str)> = self
+            .fused
+            .iter()
+            .map(|&(p, c, kind)| (id(p), id(c), kind.name()))
+            .collect();
+        let rejects: Vec<(String, String, String)> = self
+            .rejects
+            .iter()
+            .map(|(p, c, reason)| (id(*p), id(*c), reason.clone()))
+            .collect();
+        obs(TuneEvent::Fuse(FuseStats {
+            shape: self.shape.clone(),
+            n,
+            nodes: nodes.len(),
+            fused: fused
+                .iter()
+                .map(|(p, c, k)| (p.clone(), c.clone(), k.to_string()))
+                .collect(),
+            rejected: rejects.clone(),
+            units: self.units.len(),
+        }));
+
+        Ok(DagRun {
+            digest,
+            sinks: sink_digests,
+            fused,
+            rejects,
+            units: self.units.len(),
+            gmem_bytes: self.gmem_bytes,
+            gflops: self.gflops,
+        })
+    }
+}
+
+/// Memoized fused-pair resolutions, keyed by `(pair label, n)`.
+type FusedCache = HashMap<(String, i64), Result<Arc<Resolved>, FuseReject>>;
+
+/// The DAG planner-runner: resolves per-unit programs (memoized), plans
+/// and compiles DAGs into [`CompiledDag`]s, and runs them.
+///
+/// One environment caches per-routine programs and per-pair fused plans,
+/// so repeated DAGs (a fuzz campaign, a serve session) pay resolution
+/// once per shape.
+pub struct FuseEnv {
+    /// Engine behind the composer's legality filter *and* the executor.
+    pub engine: ExecEngine,
+    /// Device for performance evaluation (`Tuned` mode).
+    pub device: DeviceSpec,
+    /// Resolution mode.
+    pub mode: ResolveMode,
+    /// Mutation-testing hazard: break the prologue's k-chain order (see
+    /// [`build_fused_point`]).  Never set outside mutation tests.
+    pub hazard_reverse_k: bool,
+    singles: HashMap<(String, i64), Arc<Resolved>>,
+    fused: FusedCache,
+}
+
+impl FuseEnv {
+    /// A fresh environment.
+    pub fn new(engine: ExecEngine, device: DeviceSpec, mode: ResolveMode) -> Self {
+        FuseEnv {
+            engine,
+            device,
+            mode,
+            hazard_reverse_k: false,
+            singles: HashMap::new(),
+            fused: HashMap::new(),
+        }
+    }
+
+    /// Resolve one routine's program (memoized per `(routine, n)`).
+    fn resolve_single(&mut self, r: RoutineId, n: i64) -> Result<Arc<Resolved>, String> {
+        let key = (r.name().to_string(), n);
+        if let Some(hit) = self.singles.get(&key) {
+            return Ok(hit.clone());
+        }
+        let entry = match self.mode {
+            ResolveMode::Fast => {
+                let (scripts, _, _) = compose_variants(self.engine, r)
+                    .map_err(|e: TuneError| format!("{}: {e}", r.name()))?;
+                let params = crate::space::default_params(oa_scheme(r).solver);
+                // First *launchable* variant: some routines' leading
+                // variant has no thread mapping (a host-side reference
+                // shape), which every engine rejects at launch.
+                let bindings = Bindings::square(n);
+                let program = scripts
+                    .iter()
+                    .filter_map(|script| {
+                        let outcome = apply_lenient(&source(r), script, params).ok()?;
+                        oa_gpusim::launch::extract_launch(&outcome.program, &bindings).ok()?;
+                        Some(outcome.program)
+                    })
+                    .next()
+                    .ok_or_else(|| format!("{}: no launchable variant", r.name()))?;
+                Resolved {
+                    program,
+                    report: None,
+                }
+            }
+            ResolveMode::Tuned => {
+                let t = tune_observed(r, &self.device, n, &mut |_| {})
+                    .map_err(|e| format!("{}: {e}", r.name()))?;
+                Resolved {
+                    program: t.program,
+                    report: Some(t.report),
+                }
+            }
+        };
+        let entry = Arc::new(entry);
+        self.singles.insert(key, entry.clone());
+        Ok(entry)
+    }
+
+    /// Resolve one fused pair (memoized per `(pair label, n)`).
+    fn resolve_fused(
+        &mut self,
+        nodes: &[DagNode],
+        producer: usize,
+        consumer: usize,
+        kind: FuseKind,
+        n: i64,
+    ) -> Result<Arc<Resolved>, FuseReject> {
+        let key = (pair_label(nodes, producer, consumer, kind), n);
+        if let Some(hit) = self.fused.get(&key) {
+            return hit.clone();
+        }
+        let entry = match self.mode {
+            ResolveMode::Fast => first_legal_fused(
+                self.engine,
+                nodes,
+                producer,
+                consumer,
+                kind,
+                n,
+                self.hazard_reverse_k,
+            )
+            .map(|program| Resolved {
+                program,
+                report: None,
+            }),
+            ResolveMode::Tuned => tune_fused(
+                self.engine,
+                nodes,
+                producer,
+                consumer,
+                kind,
+                &self.device,
+                n,
+                self.hazard_reverse_k,
+            )
+            .map(|t| Resolved {
+                program: t.program,
+                report: Some(t.report),
+            }),
+        }
+        .map(Arc::new);
+        self.fused.insert(key, entry.clone());
+        entry
+    }
+
+    /// Plan and execute one DAG.  See [`FuseEnv::run_dag_observed`].
+    pub fn run_dag(
+        &mut self,
+        nodes: &[DagNode],
+        n: i64,
+        seed: u64,
+        fuse: bool,
+    ) -> Result<DagRun, String> {
+        self.run_dag_observed(nodes, n, seed, fuse, &mut |_| {})
+    }
+
+    /// Plan and execute one DAG ([`FuseEnv::plan`], then
+    /// [`CompiledDag::run`]), emitting one [`TuneEvent::Fuse`] with the
+    /// per-edge decisions.
+    pub fn run_dag_observed(
+        &mut self,
+        nodes: &[DagNode],
+        n: i64,
+        seed: u64,
+        fuse: bool,
+        obs: &mut dyn FnMut(TuneEvent),
+    ) -> Result<DagRun, String> {
+        self.plan(nodes, n, fuse)?.run(nodes, seed, obs)
+    }
+
+    /// Plan one DAG at size `n`: resolve every unit's program (memoized)
+    /// and compile each distinct one once on this environment's engine.
+    ///
+    /// Pairs whose sweep finds no legal point are demoted to two sequenced
+    /// singles with the dominant reject reason recorded — the "illegal
+    /// shapes fall back" contract.
+    pub fn plan(&mut self, nodes: &[DagNode], n: i64, fuse: bool) -> Result<CompiledDag, String> {
+        // Legality is size-uniform: a node that cannot launch standalone
+        // (an off-tile solver size, say) fails the whole DAG with the
+        // same error whether or not one of its edges would fuse —
+        // otherwise a fused plan could "run" work the sequenced fallback
+        // must reject, and the two plans would stop being comparable.
+        for nd in nodes {
+            self.resolve_single(nd.routine, n)?;
+        }
+        let plan = plan_dag(nodes, fuse);
+        let mut rejects: Vec<(usize, usize, String)> = plan
+            .rejects
+            .iter()
+            .map(|r| (r.producer, r.consumer, r.reason.clone()))
+            .collect();
+        let mut fused: Vec<(usize, usize, FuseKind)> = Vec::new();
+        let mut units = UnitBuilder::new(self.engine, n);
+        for unit in &plan.units {
+            match unit {
+                PlanUnit::Single(i) => units.single(self, nodes, *i)?,
+                PlanUnit::Fused {
+                    producer,
+                    consumer,
+                    kind,
+                } => match self.resolve_fused(nodes, *producer, *consumer, *kind, n) {
+                    Ok(resolved) => {
+                        // Profitability gate (`Tuned` mode): fusing exists to
+                        // cut global-memory round trips, so a fused winner
+                        // that moves no less modeled traffic than the
+                        // sequenced pair is demoted, not celebrated.  A
+                        // prologue splice recomputes the intermediate tile
+                        // per column block; past a crossover size those
+                        // re-reads swallow the round-trip saving.
+                        let unprofitable = match &resolved.report {
+                            Some(rep) => {
+                                let p = self.resolve_single(nodes[*producer].routine, n)?;
+                                let c = self.resolve_single(nodes[*consumer].routine, n)?;
+                                match (&p.report, &c.report) {
+                                    (Some(p), Some(c)) => {
+                                        rep.counters.gmem_bytes
+                                            >= p.counters.gmem_bytes + c.counters.gmem_bytes
+                                    }
+                                    _ => false,
+                                }
+                            }
+                            None => false,
+                        };
+                        if unprofitable {
+                            rejects.push((*producer, *consumer, REASON_UNPROFITABLE.to_string()));
+                            units.single(self, nodes, *producer)?;
+                            units.single(self, nodes, *consumer)?;
+                            continue;
+                        }
+                        fused.push((*producer, *consumer, *kind));
+                        units.fused(nodes, *producer, *consumer, *kind, resolved)?;
+                    }
+                    Err(rej) => {
+                        // Demotion: the sequenced fallback, reason recorded.
+                        rejects.push((*producer, *consumer, rej.reason.clone()));
+                        units.single(self, nodes, *producer)?;
+                        units.single(self, nodes, *consumer)?;
+                    }
+                },
+            }
+        }
+        let units = units.units;
+
+        let reports: Vec<&PerfReport> = units
+            .iter()
+            .filter_map(|u| u.resolved.report.as_ref())
+            .collect();
         let (gmem_bytes, gflops) = if reports.len() == units.len() && !units.is_empty() {
             let bytes: f64 = reports.iter().map(|r| r.counters.gmem_bytes).sum();
             let time: f64 = reports.iter().map(|r| r.total_time_s).sum();
@@ -947,70 +1026,103 @@ impl FuseEnv {
             (None, None)
         };
 
-        obs(TuneEvent::Fuse(FuseStats {
+        Ok(CompiledDag {
             shape: shape_key(nodes),
             n,
-            nodes: nodes.len(),
-            fused: fused_edges
-                .iter()
-                .map(|(p, c, k)| (p.clone(), c.clone(), k.to_string()))
-                .collect(),
-            rejected: rejects.clone(),
-            units: units.len(),
-        }));
-
-        Ok(DagRun {
-            digest,
-            sinks: sink_digests,
-            fused: fused_edges,
+            units,
+            fused,
             rejects,
-            units: units.len(),
             gmem_bytes,
             gflops,
         })
     }
+}
 
-    fn single_unit(&mut self, nodes: &[DagNode], i: usize, n: i64) -> Result<ExecUnit, String> {
+/// Accumulates a plan's units, compiling each distinct resolved program
+/// once (two nodes of one routine share their compiled form).
+struct UnitBuilder {
+    engine: ExecEngine,
+    n: i64,
+    bindings: Bindings,
+    compiled: HashMap<String, Arc<CompiledProgram>>,
+    units: Vec<ExecUnit>,
+}
+
+impl UnitBuilder {
+    fn new(engine: ExecEngine, n: i64) -> Self {
+        UnitBuilder {
+            engine,
+            n,
+            bindings: Bindings::square(n),
+            compiled: HashMap::new(),
+            units: Vec::new(),
+        }
+    }
+
+    fn push(
+        &mut self,
+        label: String,
+        resolved: Arc<Resolved>,
+        inputs: Vec<(&'static str, Operand)>,
+        outputs: Vec<(&'static str, usize)>,
+    ) -> Result<(), String> {
+        let compiled = match self.compiled.get(&label) {
+            Some(c) => c.clone(),
+            None => {
+                let c = CompiledProgram::compile(self.engine, &resolved.program, &self.bindings)
+                    .map_err(|e| format!("{label}: {} ({e})", e.class()))?;
+                let c = Arc::new(c);
+                self.compiled.insert(label.clone(), c.clone());
+                c
+            }
+        };
+        self.units.push(ExecUnit {
+            label,
+            resolved,
+            compiled,
+            inputs,
+            outputs,
+        });
+        Ok(())
+    }
+
+    fn single(&mut self, env: &mut FuseEnv, nodes: &[DagNode], i: usize) -> Result<(), String> {
         let node = &nodes[i];
-        let (program, report, _) = self.resolve_single(node.routine, n)?;
+        let resolved = env.resolve_single(node.routine, self.n)?;
         let mut inputs = vec![("A", node.a.clone()), ("B", node.b.clone())];
         if let Some(c) = &node.c {
             if !matches!(node.routine, RoutineId::Add) {
                 inputs.push(("C", c.clone()));
             }
         }
-        Ok(ExecUnit {
-            label: node.routine.name().to_string(),
-            program,
+        self.push(
+            node.routine.name().to_string(),
+            resolved,
             inputs,
-            outputs: vec![(node.output_array(), i)],
-            report,
-        })
+            vec![(node.output_array(), i)],
+        )
     }
 
-    fn fused_unit(
-        &self,
+    fn fused(
+        &mut self,
         nodes: &[DagNode],
         producer: usize,
         consumer: usize,
         kind: FuseKind,
-        program: Program,
-        report: Option<PerfReport>,
-    ) -> ExecUnit {
+        resolved: Arc<Resolved>,
+    ) -> Result<(), String> {
         let prod = &nodes[producer];
         let cons = &nodes[consumer];
         let label = pair_label(nodes, producer, consumer, kind);
-        match kind {
+        let (inputs, outputs) = match kind {
             FuseKind::Epilogue => {
                 let other = if cons.a == Operand::Node(producer) {
                     cons.b.clone()
                 } else {
                     cons.a.clone()
                 };
-                ExecUnit {
-                    label,
-                    program,
-                    inputs: vec![
+                (
+                    vec![
                         ("A", prod.a.clone()),
                         ("B", prod.b.clone()),
                         (
@@ -1019,14 +1131,11 @@ impl FuseEnv {
                         ),
                         ("E", other),
                     ],
-                    outputs: vec![("D", consumer)],
-                    report,
-                }
+                    vec![("D", consumer)],
+                )
             }
-            FuseKind::SolverPrologue => ExecUnit {
-                label,
-                program,
-                inputs: vec![
+            FuseKind::SolverPrologue => (
+                vec![
                     ("A", cons.a.clone()),
                     (
                         "B",
@@ -1034,10 +1143,10 @@ impl FuseEnv {
                     ),
                     ("F0", prod.a.clone()),
                 ],
-                outputs: vec![("B", consumer)],
-                report,
-            },
-        }
+                vec![("B", consumer)],
+            ),
+        };
+        self.push(label, resolved, inputs, outputs)
     }
 }
 
@@ -1199,6 +1308,47 @@ mod tests {
     }
 
     #[test]
+    fn compiled_plan_runs_from_many_threads_like_run_dag() {
+        // One immutable plan, run concurrently on several seeds: every
+        // run equals the plan-and-run path, and units sharing a program
+        // share one compiled form.
+        let mut e = env();
+        let nodes = gemm_add("sum");
+        let plan = e.plan(&nodes, 64, true).unwrap();
+        assert_eq!(plan.units.len(), 1);
+        let want: Vec<u64> = (0..4)
+            .map(|seed| e.run_dag(&nodes, 64, seed, true).unwrap().digest)
+            .collect();
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for t in 0..2 {
+                let (plan, nodes, want, start) = (&plan, &nodes, &want, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for seed in 0..4u64 {
+                        let got = plan.run(nodes, seed, &mut |_| {}).unwrap();
+                        assert_eq!(got.digest, want[seed as usize], "thread {t} seed {seed}");
+                    }
+                });
+            }
+        });
+
+        let twins = vec![
+            nodes[0].clone(),
+            DagNode {
+                id: "mm2".into(),
+                ..nodes[0].clone()
+            },
+        ];
+        let plan = e.plan(&twins, 64, true).unwrap();
+        assert_eq!(plan.units.len(), 2);
+        assert!(Arc::ptr_eq(
+            &plan.units[0].compiled,
+            &plan.units[1].compiled
+        ));
+    }
+
+    #[test]
     fn unfusable_reference_slot_demotes_and_matches() {
         // A GEMM intermediate feeding the solver's *triangular* operand
         // slot has no fusion rule: the plan records consumer-shape, runs
@@ -1338,8 +1488,8 @@ mod tests {
             let mut e = FuseEnv::new(ExecEngine::Bytecode, device.clone(), ResolveMode::Tuned);
             let mut unfused_bytes = 0.0;
             for nd in &nodes {
-                let (_, report, _) = e.resolve_single(nd.routine, n).unwrap();
-                unfused_bytes += report.unwrap().counters.gmem_bytes;
+                let single = e.resolve_single(nd.routine, n).unwrap();
+                unfused_bytes += single.report.as_ref().unwrap().counters.gmem_bytes;
             }
             assert!(
                 fused.report.counters.gmem_bytes < unfused_bytes,

@@ -25,8 +25,8 @@ pub mod tuner;
 pub use cache::{CacheIssue, CacheLock, TuneCache, TunedRecord, CACHE_VERSION};
 pub use features::{candidate_features, FEATURE_DIM, FEATURE_NAMES};
 pub use fuse::{
-    plan_dag, shape_key, tune_fused, DagNode, DagPlan, DagRun, FuseEnv, FuseKind, FuseReject,
-    Operand, PlanUnit, ResolveMode,
+    plan_dag, shape_key, tune_fused, CompiledDag, DagNode, DagPlan, DagRun, FuseEnv, FuseKind,
+    FuseReject, Operand, PlanUnit, ResolveMode,
 };
 pub use model::{
     model_path_from_env, sibling_model_path, CostModel, ModelMode, Sample, MODEL_FILE,

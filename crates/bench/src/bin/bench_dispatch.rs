@@ -290,6 +290,10 @@ fn main() {
             ),
         ),
         ("requests".to_string(), Json::Int(reqs.len() as i64)),
+        (
+            "engine".to_string(),
+            Json::Str(registry.engine().name().into()),
+        ),
         ("threads".to_string(), Json::Int(threads as i64)),
         ("steady_passes".to_string(), Json::Int(steady_passes as i64)),
         ("warm_secs".to_string(), Json::Num(warm_secs)),

@@ -207,6 +207,7 @@ fn main() {
     let stats = server.shutdown_and_join();
     assert_eq!(stats.admitted, stats.completed, "drain lost requests");
 
+    let engine = registry.engine();
     let (probe_ok, probe_rejected) = overload_probe(registry);
 
     println!(
@@ -248,6 +249,7 @@ fn main() {
             ),
         ),
         ("quick".to_string(), Json::Bool(quick)),
+        ("engine".to_string(), Json::Str(engine.name().into())),
         ("tenants".to_string(), Json::Int(tenants.len() as i64)),
         (
             "requests_per_tenant".to_string(),

@@ -21,16 +21,19 @@
 //!
 //! Execution goes through [`Registry::run_dag_observed`]: the fusion
 //! planner ([`oa_autotune::fuse`]) pairs legal producer→consumer edges,
-//! the tuned fused programs are resolved through the registry's
-//! DAG-shape-keyed plan cache, and the whole DAG executes as **one
-//! unit** (a DAG request is never split across scheduler batches).
+//! the tuned programs are resolved and compiled once into an immutable
+//! plan held in the registry's bounded `(shape, n, fuse)`-keyed plan
+//! cache, and the whole DAG executes as **one unit** (a DAG request is
+//! never split across scheduler batches).  Only a cold plan build takes
+//! the registry's DAG lock; warm DAGs run concurrently.
 
 use crate::dispatch::{solver_tile, Registry};
-use oa_autotune::fuse::{DagNode, FuseEnv, Operand, ResolveMode};
+use oa_autotune::fuse::{CompiledDag, DagNode, FuseEnv, Operand, ResolveMode};
 use oa_autotune::json::Json;
 use oa_autotune::TuneEvent;
 use oa_blas3::types::{RoutineId, Trans};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Largest DAG a request may carry; beyond this the request is rejected
@@ -443,9 +446,10 @@ impl DagOutcome {
 }
 
 impl Registry {
-    /// Execute one DAG request end to end: admission → fusion planning →
-    /// tuned resolution (memoized under the DAG-shape key) → execution as
-    /// one unit → sink digest.
+    /// Execute one DAG request end to end: admission → compiled plan
+    /// (cached under the `(shape, n, fuse)` key; fusion planning, tuned
+    /// resolution and compilation on a miss) → execution as one unit →
+    /// sink digest.
     pub fn run_dag(&self, req: &DagRequest) -> DagOutcome {
         self.run_dag_observed(req, &mut |_| {})
     }
@@ -465,24 +469,11 @@ impl Registry {
         if let Err(e) = admit_dag(req) {
             return fail(e);
         }
-        // The whole DAG runs under the env lock: fused plans, tuned
-        // singles and the pair cache live inside the env, and a DAG is
-        // dispatched as one indivisible unit.
-        let mut guard = self.dag_env().lock().expect("unpoisoned dag env");
-        let env = guard.get_or_insert_with(|| {
-            FuseEnv::new(self.engine(), self.device().clone(), ResolveMode::Tuned)
-        });
-        let cache_hit = {
-            let key = (req.shape(), req.n);
-            let mut plans = self.dag_plans().lock().expect("unpoisoned dag plans");
-            let hit = plans.get(&key).is_some();
-            if !hit {
-                plans.insert(key, ());
-            }
-            hit
-        };
-        match env.run_dag_observed(&req.nodes, req.n, req.seed, req.fuse, obs) {
-            Ok(run) => DagOutcome {
+        let run = self
+            .dag_plan(req)
+            .and_then(|(plan, hit)| Ok((plan.run(&req.nodes, req.seed, obs)?, hit)));
+        match run {
+            Ok((run, cache_hit)) => DagOutcome {
                 request: req.clone(),
                 status: DagStatus::Ok(DagOk {
                     digest: run.digest,
@@ -502,6 +493,31 @@ impl Registry {
             },
             Err(reason) => fail(dag_err("exec", reason)),
         }
+    }
+
+    /// The compiled plan for `req`'s `(shape, n, fuse)` key, and whether
+    /// it was warm.  A warm plan costs one cache lookup, so warm DAGs run
+    /// concurrently; a cold one is planned and compiled under the env
+    /// lock (which also serializes the tuning it may need), then
+    /// published.
+    fn dag_plan(&self, req: &DagRequest) -> Result<(Arc<CompiledDag>, bool), String> {
+        let key = (req.shape(), req.n, req.fuse);
+        let plans = || self.dag_plans().lock().expect("unpoisoned dag plans");
+        if let Some(plan) = plans().get(&key).cloned() {
+            return Ok((plan, true));
+        }
+        let mut guard = self.dag_env().lock().expect("unpoisoned dag env");
+        // Another thread may have built the plan while this one waited
+        // (already counted as a miss above, so peek).
+        if let Some(plan) = plans().peek(&key).cloned() {
+            return Ok((plan, true));
+        }
+        let env = guard.get_or_insert_with(|| {
+            FuseEnv::new(self.engine(), self.device().clone(), ResolveMode::Tuned)
+        });
+        let plan = Arc::new(env.plan(&req.nodes, req.n, req.fuse)?);
+        plans().insert(key, plan.clone());
+        Ok((plan, false))
     }
 }
 
@@ -658,6 +674,87 @@ mod tests {
             }
             DagStatus::Failed { class, reason } => panic!("{class}: {reason}"),
         }
+    }
+
+    const PROLOGUE: &str = r#"{"dag": [
+        {"id": "rk", "routine": "SYRK", "a": "F", "c": "S"},
+        {"id": "tri", "routine": "TRSM-LL-N", "a": "L", "b": "@rk"}], "n": 64, "seed": 11}"#;
+
+    fn ok(outcome: DagOutcome) -> DagOk {
+        match outcome.status {
+            DagStatus::Ok(ok) => ok,
+            DagStatus::Failed { class, reason } => panic!("{class}: {reason}"),
+        }
+    }
+
+    /// Run each request fused and with `"fuse": false`; return the fused
+    /// digests after checking each equals its sequenced one.
+    fn reference_digests(registry: &Registry, reqs: &[DagRequest]) -> Vec<u64> {
+        reqs.iter()
+            .map(|req| {
+                let fused = ok(registry.run_dag(req));
+                assert_eq!(fused.fused.len(), 1, "{}", req.shape());
+                let unfused = ok(registry.run_dag(&DagRequest {
+                    fuse: false,
+                    ..req.clone()
+                }));
+                assert_eq!(unfused.digest, fused.digest, "fusion changed bits");
+                fused.digest
+            })
+            .collect()
+    }
+
+    #[test]
+    fn warm_dags_reuse_plans_and_run_concurrently() {
+        let registry = Registry::new(DeviceSpec::gtx285());
+        let reqs = [parse(CHAIN).unwrap(), parse(PROLOGUE).unwrap()];
+        let want = reference_digests(&registry, &reqs);
+
+        // A warm repeat is one plan-cache hit: nothing planned or compiled.
+        let before = registry.dag_plan_stats();
+        for (req, want) in reqs.iter().zip(&want) {
+            let warm = ok(registry.run_dag(req));
+            assert!(warm.cache_hit);
+            assert_eq!(warm.digest, *want);
+        }
+        let delta = registry.dag_plan_stats().since(&before);
+        assert_eq!((delta.hits, delta.misses), (2, 0), "{delta:?}");
+
+        // Two threads running warm DAGs of both shapes at once.
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for t in 0..2 {
+                let (registry, reqs, want, start) = (&registry, &reqs, &want, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for round in 0..6 {
+                        let i = (t + round) % reqs.len();
+                        let got = ok(registry.run_dag(&reqs[i]));
+                        assert!(got.cache_hit);
+                        assert_eq!(got.digest, want[i], "thread {t} round {round}");
+                    }
+                });
+            }
+        });
+        assert_eq!(registry.dag_plan_stats().since(&before).misses, 0);
+    }
+
+    #[test]
+    fn single_slot_plan_cache_keeps_digests_when_shapes_alternate() {
+        let registry = Registry::new(DeviceSpec::gtx285()).with_capacity(Some(1));
+        let reqs = [parse(CHAIN).unwrap(), parse(PROLOGUE).unwrap()];
+        let want = reference_digests(&registry, &reqs);
+        let before = registry.dag_plan_stats();
+        for round in 0..4 {
+            for (req, want) in reqs.iter().zip(&want) {
+                let got = ok(registry.run_dag(req));
+                assert!(!got.cache_hit, "round {round}: the other shape evicted it");
+                assert_eq!(got.digest, *want, "round {round}");
+            }
+        }
+        let delta = registry.dag_plan_stats().since(&before);
+        assert_eq!(delta.misses, 8);
+        assert!(delta.evictions >= 7, "{delta:?}");
     }
 
     #[test]

@@ -32,6 +32,7 @@
 //! The CLI face is `oa serve` (JSONL requests in, JSONL results out);
 //! the throughput harness is `bench_dispatch` (`BENCH_dispatch.json`).
 
+use oa_autotune::fuse::{CompiledDag, FuseEnv};
 use oa_autotune::json::Json;
 use oa_autotune::report::BatchStats;
 use oa_autotune::{
@@ -482,14 +483,20 @@ pub struct Registry {
     /// only fresh sweeps (cold path) and the server's own event lines.
     trace_gate: Mutex<()>,
     /// The DAG fusion environment (lazy: engine/device are pinned after
-    /// construction).  Holds the tuned singles and fused-pair plans a
-    /// DAG request resolves through; the lock also makes each DAG an
-    /// indivisible execution unit (see `crate::dag`).
-    dag_env: Mutex<Option<oa_autotune::fuse::FuseEnv>>,
-    /// Warm-plan provenance for DAG requests, keyed by
-    /// `(DAG shape, n)` — the `cache: hit|miss` field of DAG outcomes.
-    dag_plans: Mutex<Lru<(String, i64), ()>>,
+    /// construction).  Holds the tuned singles and fused-pair programs a
+    /// DAG plan resolves through; its lock is held only while a cold
+    /// plan is built (see `crate::dag`).
+    dag_env: Mutex<Option<FuseEnv>>,
+    /// Compiled DAG plans, keyed by `(DAG shape, n, fuse)` — bounded;
+    /// a hit is also the `cache: hit` field of DAG outcomes.
+    dag_plans: Mutex<Lru<DagPlanKey, Arc<CompiledDag>>>,
 }
+
+/// Key of the registry's DAG plan cache: `(DAG shape, n, fuse)`.
+type DagPlanKey = (String, i64, bool);
+
+/// Bound of the DAG plan cache when the program store is unbounded.
+const DAG_PLAN_CAPACITY: usize = 64;
 
 fn tuned_shards() -> Vec<TunedShard> {
     (0..TUNED_SHARDS)
@@ -508,6 +515,10 @@ fn program_shards(capacity: Option<usize>) -> Vec<Mutex<Lru<ProgramKey, Arc<Comp
             .map(|_| Mutex::new(Lru::new(None)))
             .collect(),
     }
+}
+
+fn dag_plan_lru(capacity: Option<usize>) -> Mutex<Lru<DagPlanKey, Arc<CompiledDag>>> {
+    Mutex::new(Lru::new(Some(capacity.unwrap_or(DAG_PLAN_CAPACITY))))
 }
 
 /// Load the cost-model artifact at `path` (when ranking is on at all);
@@ -543,18 +554,24 @@ impl Registry {
             model_issues: Mutex::new(model_issues),
             trace_gate: Mutex::new(()),
             dag_env: Mutex::new(None),
-            dag_plans: Mutex::new(Lru::new(None)),
+            dag_plans: dag_plan_lru(None),
         }
     }
 
     /// The lazily-initialized DAG fusion environment (see `crate::dag`).
-    pub(crate) fn dag_env(&self) -> &Mutex<Option<oa_autotune::fuse::FuseEnv>> {
+    pub(crate) fn dag_env(&self) -> &Mutex<Option<FuseEnv>> {
         &self.dag_env
     }
 
-    /// The DAG warm-plan table (shape-keyed provenance).
-    pub(crate) fn dag_plans(&self) -> &Mutex<Lru<(String, i64), ()>> {
+    /// The compiled DAG plan cache (see `crate::dag`).
+    pub(crate) fn dag_plans(&self) -> &Mutex<Lru<DagPlanKey, Arc<CompiledDag>>> {
         &self.dag_plans
+    }
+
+    /// Cumulative DAG plan-cache counters: a hit ran a warm DAG on its
+    /// compiled plan, a miss planned and compiled it.
+    pub fn dag_plan_stats(&self) -> oa_gpusim::LruStats {
+        self.dag_plans.lock().expect("unpoisoned dag plans").stats()
     }
 
     /// Pin the execution engine (tests and the engine-differential suite;
@@ -564,12 +581,14 @@ impl Registry {
         self
     }
 
-    /// Bound the precompiled-program LRU (`None` = unbounded).  Eviction
+    /// Bound the precompiled-program LRU (`None` = unbounded) and the
+    /// DAG plan cache (`None` = 64 plans).  Eviction
     /// never changes results — only the hit rate (the property suite
     /// replays batches at capacity 1 vs unbounded and demands equal
     /// outputs).
     pub fn with_capacity(mut self, capacity: Option<usize>) -> Registry {
         self.programs = program_shards(capacity);
+        self.dag_plans = dag_plan_lru(capacity);
         self
     }
 

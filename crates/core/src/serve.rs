@@ -214,10 +214,12 @@ struct ConnOut {
 }
 
 impl ConnOut {
+    /// Write `line` and its newline as **one** write: split writes leave
+    /// the newline queued behind the client's delayed ACK.
     fn send_line(&self, line: &str) {
+        let buf = format!("{line}\n");
         let mut w = self.w.lock().expect("unpoisoned connection");
-        let _ = w.write_all(line.as_bytes());
-        let _ = w.write_all(b"\n");
+        let _ = w.write_all(buf.as_bytes());
         let _ = w.flush();
     }
 }
@@ -610,6 +612,10 @@ impl ServerCtx {
                 Json::Int(self.registry.programs_len() as i64),
             ),
             ("threads".to_string(), Json::Int(self.threads as i64)),
+            (
+                "engine".to_string(),
+                Json::Str(self.registry.engine().name().into()),
+            ),
             ("tenants".to_string(), tenants),
         ]))
     }
@@ -633,6 +639,10 @@ impl ServerCtx {
             (
                 "connections".to_string(),
                 Json::Int(self.conns.load(Ordering::Relaxed) as i64),
+            ),
+            (
+                "engine".to_string(),
+                Json::Str(self.registry.engine().name().into()),
             ),
         ]))
     }
@@ -900,7 +910,12 @@ pub fn spawn_server(
         }
         while !accept_ctx.shutdown.load(Ordering::SeqCst) {
             let accepted = match &listener {
-                Listener::Tcp(l) => l.accept().map(|(s, _)| Stream::Tcp(s)),
+                Listener::Tcp(l) => l.accept().map(|(s, _)| {
+                    // Responses are whole lines written at once; never
+                    // hold one back waiting to coalesce with the next.
+                    let _ = s.set_nodelay(true);
+                    Stream::Tcp(s)
+                }),
                 Listener::Unix(l, _) => l.accept().map(|(s, _)| Stream::Unix(s)),
             };
             match accepted {
@@ -1158,6 +1173,35 @@ pub fn serve_stream(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A writer that records every `write` call it receives.
+    #[derive(Clone, Default)]
+    struct Recorder(Arc<Mutex<Vec<Vec<u8>>>>);
+
+    impl Write for Recorder {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().unwrap().push(buf.to_vec());
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn send_line_is_one_write_ending_in_newline() {
+        let rec = Recorder::default();
+        let out = ConnOut {
+            w: Mutex::new(Box::new(rec.clone())),
+        };
+        out.send_line(r#"{"status":"ok"}"#);
+        out.send_line("");
+        let writes = rec.0.lock().unwrap();
+        assert_eq!(
+            *writes,
+            vec![b"{\"status\":\"ok\"}\n".to_vec(), b"\n".to_vec()]
+        );
+    }
 
     #[test]
     fn admission_bounds_queue_and_tenant_quota() {

@@ -176,6 +176,11 @@ impl<K: Eq + Hash + Clone, V> Lru<K, V> {
         }
     }
 
+    /// Look up `k` without refreshing its recency or counting the lookup.
+    pub fn peek(&self, k: &K) -> Option<&V> {
+        self.entries.get(k).map(|(_, v)| v)
+    }
+
     /// Insert (or refresh) `k`, evicting the least-recently-used entry
     /// when over capacity.
     pub fn insert(&mut self, k: K, v: V) {

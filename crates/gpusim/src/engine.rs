@@ -14,7 +14,7 @@
 //!
 //! [`exec_program_fast`] is the fast path used by the composer's legality
 //! filter, the BLAS3 verifier and the autotuner. It defaults to the
-//! bytecode engine; set `OA_EXEC_ENGINE=oracle|tape|bytecode|native` to
+//! native engine; set `OA_EXEC_ENGINE=oracle|tape|bytecode|native` to
 //! pin a specific engine (an unrecognized value falls back to the
 //! default, so stale scripts keep working).
 //!
@@ -42,11 +42,11 @@ pub enum ExecEngine {
     Oracle,
     /// Compiled kernel tape (PR 1 fast path).
     Tape,
-    /// Optimized linear bytecode on the lane-vectorized interpreter
-    /// (default).
+    /// Optimized linear bytecode on the lane-vectorized interpreter.
     Bytecode,
     /// Bytecode with lane-affine inner loop nests lowered to native host
-    /// microkernels (fastest; interpreter fallback elsewhere).
+    /// microkernels (fastest, and the default; interpreter fallback
+    /// elsewhere).
     Native,
 }
 
@@ -81,20 +81,23 @@ impl ExecEngine {
     ];
 }
 
+/// The engine an `OA_EXEC_ENGINE` value selects: a recognized name
+/// selects that engine; unset or unrecognized values select
+/// [`ExecEngine::Native`] (so stale scripts keep working).
+fn engine_from_env_value(value: Option<&str>) -> ExecEngine {
+    value
+        .and_then(ExecEngine::parse)
+        .unwrap_or(ExecEngine::Native)
+}
+
 /// The process-wide default engine: `OA_EXEC_ENGINE`, read **once** on
-/// first use.  Unset or unrecognized values select
-/// [`ExecEngine::Bytecode`] (so stale scripts keep working).
+/// first use and mapped through [`engine_from_env_value`].
 ///
 /// This is the only place the environment influences engine choice; every
 /// other selection point takes an explicit [`ExecEngine`] parameter.
 pub fn select() -> ExecEngine {
     static DEFAULT: OnceLock<ExecEngine> = OnceLock::new();
-    *DEFAULT.get_or_init(|| {
-        std::env::var("OA_EXEC_ENGINE")
-            .ok()
-            .and_then(|v| ExecEngine::parse(&v))
-            .unwrap_or(ExecEngine::Bytecode)
-    })
+    *DEFAULT.get_or_init(|| engine_from_env_value(std::env::var("OA_EXEC_ENGINE").ok().as_deref()))
 }
 
 /// Execute `p` on `bufs` with the given engine.
@@ -118,7 +121,7 @@ pub fn exec_program_on(
 }
 
 /// Compile and execute `p` on the fast path: the process-default engine
-/// ([`select`]), normally the optimized bytecode interpreter.
+/// ([`select`]), normally the native tier.
 pub fn exec_program_fast(
     p: &Program,
     bindings: &Bindings,
@@ -205,6 +208,20 @@ mod tests {
         assert_eq!(outs[0], outs[1], "oracle vs tape");
         assert_eq!(outs[0], outs[2], "oracle vs bytecode");
         assert_eq!(outs[0], outs[3], "oracle vs native");
+    }
+
+    #[test]
+    fn env_value_selects_engine_with_native_fallback() {
+        assert_eq!(engine_from_env_value(None), ExecEngine::Native);
+        assert_eq!(
+            engine_from_env_value(Some("bytecode")),
+            ExecEngine::Bytecode
+        );
+        assert_eq!(engine_from_env_value(Some("oracle")), ExecEngine::Oracle);
+        assert_eq!(engine_from_env_value(Some("tape")), ExecEngine::Tape);
+        assert_eq!(engine_from_env_value(Some("native")), ExecEngine::Native);
+        assert_eq!(engine_from_env_value(Some("garbage")), ExecEngine::Native);
+        assert_eq!(engine_from_env_value(Some("")), ExecEngine::Native);
     }
 
     #[test]

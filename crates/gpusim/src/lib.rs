@@ -18,7 +18,7 @@
 //!   loop nests pattern-matched at compile time and executed through
 //!   specialized host SIMD microkernels, interpreter fallback elsewhere;
 //! * [`engine`] — selection among the four engines
-//!   (`OA_EXEC_ENGINE=oracle|tape|bytecode|native`, default bytecode);
+//!   (`OA_EXEC_ENGINE=oracle|tape|bytecode|native`, default native);
 //! * [`dispatch`] — batched-execution building blocks: compile-once
 //!   programs, the bounded LRU program store, and the shared-queue worker
 //!   pool behind `oa_core::dispatch`'s routine registry;
